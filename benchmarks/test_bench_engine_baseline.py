@@ -1,9 +1,10 @@
 """Engine throughput baseline: the numbers behind ``BENCH_engine.json``.
 
-Six workloads spanning the engine's hot paths -- a 512-rank
+Seven workloads spanning the engine's hot paths -- a 512-rank
 block-cyclic LU (point-to-point heavy, the headline number), a 64-rank
-SUMMA (broadcast heavy), a 32-rank collectives suite, a 2048-rank
-collective run exercising the collective macro-ops, a 16384-rank
+SUMMA (broadcast heavy), a 32-rank collectives suite, a 64-rank LU
+whose panel broadcasts take the macro path on 8-member groups, a
+2048-rank collective run exercising the collective macro-ops, a 16384-rank
 halo epoch exercising the stencil macro-ops, and a 1024-rank symbolic
 lint of the shipped programs exercising the static verifier -- each
 timed best-of-N untraced and recorded through the ``bench_record``
@@ -14,9 +15,9 @@ baseline; the CI perf-smoke job compares a fresh run against it with
 
 The first three workloads pass ``macro_ops=False`` so their numbers
 keep measuring the per-message event cascade (and stay comparable with
-the committed history); the 2048-rank collectives and 16384-rank halo
-benchmarks measure the macro path against that cascade and assert the
-speedup.
+the committed history); the 64-rank LU, 2048-rank collectives and
+16384-rank halo benchmarks measure the macro path against that cascade
+and record the speedup.
 
 The assertions pin the *simulated* outcomes (makespan, event count),
 which must be machine-independent: a drift there is a correctness bug,
@@ -124,6 +125,44 @@ def test_bench_collectives_suite_throughput(bench_record):
         wall_s=wall,
         ranks=32,
         virtual_time_s=round(res.time, 9),
+    )
+
+
+def test_bench_lu2d_64_macro(bench_record):
+    """The small-group case: an 8x8 LU, whose panel broadcasts go to
+    8-member row and column groups, macro path vs event cascade.
+
+    The two paths are timed interleaved, best of five each, so a host
+    slowdown hits both alike (the two walls are close, so the ratio
+    needs more samples than one wall does).  Results must be
+    bit-identical; the committed ``macro_speedup`` is what the
+    regression gate holds.
+    """
+    machine = touchstone_delta()
+    a = make_test_matrix(128, seed=7)
+    grid = ProcessGrid2D(8, 8)
+    ref_wall = wall = float("inf")
+    for _ in range(5):
+        ref, ref_t = _best_of(
+            lambda: lu2d(machine, grid, a, nb=2, seed=7, macro_ops=False), repeats=1
+        )
+        res, res_t = _best_of(lambda: lu2d(machine, grid, a, nb=2, seed=7), repeats=1)
+        ref_wall = min(ref_wall, ref_t)
+        wall = min(wall, res_t)
+    assert res.sim.time == ref.sim.time
+    assert res.sim.stats == ref.sim.stats
+    assert (res.lu == ref.lu).all()
+    assert res.sim.events < ref.sim.events
+    assert res.sim.macro_fallbacks == 0
+    bench_record(
+        "lu2d_64_macro",
+        events=ref.sim.events,
+        wall_s=wall,
+        ranks=64,
+        virtual_time_s=round(res.sim.time, 9),
+        macro_events=res.sim.events,
+        event_path_wall_s=round(ref_wall, 4),
+        macro_speedup=round(ref_wall / wall, 2),
     )
 
 

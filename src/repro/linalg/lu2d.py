@@ -207,9 +207,14 @@ def lu2d(
     simulated communication (non-blocking broadcasts, rendezvous
     threshold, wire-contention model) without changing the numerics.
     ``trace`` records message logs and activity spans for
-    :mod:`repro.obs` analysis.  ``macro_ops=False`` forces collectives
-    through the per-message event cascade (the benchmark baselines pin
-    event counts on that path); ``columnar=False`` routes whole-machine
+    :mod:`repro.obs` analysis.  With ``macro_ops`` (the default) each
+    row/column panel broadcast parks its group on one event per member
+    and is priced in closed form, message by message on groups this
+    small; on 4x4 and 8x8 grids that costs about what the cascade does
+    (DESIGN.md, "Macro-ops and when they are sound").  ``macro_ops=False``
+    forces collectives through the per-message event cascade (the
+    benchmark baselines pin event counts on that path), with identical
+    makespan, stats and factor; ``columnar=False`` routes whole-machine
     state updates through scalar per-rank loops instead of the
     vectorised columns (the A/B axis of the equivalence suite).
     """

@@ -394,7 +394,7 @@ class _Run:
         "protocols", "ranks", "_n", "_eager_max", "_last_arrival",
         "_overhead", "seq", "_heap", "_active", "_fast", "_fast_enabled",
         "comms", "_ab_hops", "_ab", "_tracing", "_flops_denom",
-        "_macro_enabled", "_macro_pending", "_world_members",
+        "_macro_enabled", "_macro_pending", "_world_members", "_rank_nodes",
         "_cert_pure", "_cert_uniform", "_fallbacks",
         "ms", "_columnar", "_clk", "_blk", "_fin", "_fld",
         "_cpu_t", "_comm_t", "_idle_t", "_fin_t",
@@ -504,6 +504,9 @@ class _Run:
         # bring-up does not pay for it (closed-form runs build it once,
         # pure point-to-point runs never do).
         self._world_members: Optional[tuple] = None
+        # The delivery model's rank -> node map as an int64 array, built
+        # by the first vectorised macro round that prices hop counts.
+        self._rank_nodes: Optional[np.ndarray] = None
         # Macro-eligibility certificate state (armed in execute() once
         # the certificate is validated against the program): _cert_pure
         # skips the per-member probe in _run_macro, _cert_uniform lets

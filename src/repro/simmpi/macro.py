@@ -8,8 +8,10 @@ the alpha-beta parameters: no outside event can alter a match, arrival,
 or handshake inside the collective.  This module replays that cascade
 analytically -- same messages, same arithmetic expressions, same
 floating-point evaluation order per rank -- without touching the event
-heap, so every member pays exactly one event per collective instead of
-O(log P)..O(P).
+heap, so every member takes exactly one event per collective instead of
+O(log P)..O(P).  Schedules whose rounds average at most
+:data:`NARROW_ROUND_PAIRS` pairs are priced message by message on
+Python floats; wider ones price each round with numpy.
 
 Bit-exactness contract
 ----------------------
@@ -68,6 +70,28 @@ SUPPORTED = frozenset({
     ("alltoall", "cyclic"),
 })
 
+#: Mean pairs per round at or below which a schedule is priced message
+#: by message on Python floats; wider schedules price each round in
+#: numpy.  A numpy round has a fixed cost of a few dozen array calls, a
+#: scalar message a handful of float operations, so the crossover is a
+#: round width.  DESIGN.md ("Macro-ops and when they are sound") records
+#: the measurement that chose it.
+NARROW_ROUND_PAIRS = 32
+
+
+def _narrow(kind: str, algorithm: Any, p: int) -> bool:
+    """Whether the schedule's rounds average at most
+    :data:`NARROW_ROUND_PAIRS` pairs."""
+    if kind == "bcast" or kind == "reduce":
+        if algorithm == "ring" or algorithm == "flat":
+            return True  # one message at a time at any size
+        # Binomial tree: p - 1 messages over ceil(log2 p) rounds.
+        return p - 1 <= NARROW_ROUND_PAIRS * (p - 1).bit_length()
+    if kind == "allgather" or kind == "alltoall":
+        return True  # scalar sends only, at any size
+    # Dissemination, butterfly and stencil rounds pair every member.
+    return p <= NARROW_ROUND_PAIRS
+
 
 class _Bail(Exception):
     """The schedule is not analytically exact here (rendezvous inside a
@@ -83,71 +107,85 @@ class _Sched:
     """
 
     __slots__ = (
-        "run", "members", "p", "idx", "clock", "comm_t", "sent_n", "sent_b",
-        "recv_n", "recv_b", "eager_max", "ab", "n", "overlay", "last",
-        "oh_memo", "members_arr", "nodes", "topo", "latency", "per_hop",
-        "bw", "fifo_cap",
+        "run", "members", "p", "narrow", "idx", "clock", "comm_t", "sent_n",
+        "sent_b", "recv_n", "recv_b", "eager_max", "ab", "n", "overlay", "last",
+        "oh_memo", "_members_arr", "_nodes", "fifo_cap",
     )
 
-    def __init__(self, run: Any, members: Sequence[int], clocks: Sequence[float]):
+    def __init__(
+        self, run: Any, members: Sequence[int], clocks: Sequence[float], narrow: bool
+    ):
         self.run = run
         self.members = members
         p = len(members)
         self.p = p
-        # Numpy storage: scalar helpers index element-wise (identical
-        # IEEE arithmetic to plain floats), vector helpers price a
-        # whole permutation round in a handful of array ops.
-        self.clock = np.array(clocks, dtype=np.float64)
-        if run._columnar:
-            # Columnar gather: one fancy-index copy per stats column
-            # out of the run's MachineState (the live values the
-            # per-rank reads below would see, bit for bit).
-            idx = np.fromiter(members, np.intp, count=p)
-            ms = run.ms
-            self.comm_t = ms.comm_time[idx]
-            self.sent_n = ms.messages_sent[idx]
-            self.sent_b = ms.bytes_sent[idx]
-            self.recv_n = ms.messages_received[idx]
-            self.recv_b = ms.bytes_received[idx]
-            self.idx: Any = idx
+        self.narrow = narrow
+        self.idx: Any = None
+        if narrow:
+            # Plain Python floats/ints gathered through the run's
+            # memoryviews (the storage the per-rank views read): the
+            # scalar primitives then do float arithmetic, not numpy
+            # scalar arithmetic, and nothing is converted at commit.
+            self.clock = (
+                clocks.tolist() if isinstance(clocks, np.ndarray) else list(clocks)
+            )
+            col = run._comm_t
+            self.comm_t = [col[m] for m in members]
+            col = run._sent_n
+            self.sent_n = [col[m] for m in members]
+            col = run._sent_b
+            self.sent_b = [col[m] for m in members]
+            col = run._recv_n
+            self.recv_n = [col[m] for m in members]
+            col = run._recv_b
+            self.recv_b = [col[m] for m in members]
         else:
-            ranks = run.ranks
-            self.comm_t = np.fromiter(
-                (ranks[m].stats.comm_time for m in members), np.float64, count=p
-            )
-            self.sent_n = np.fromiter(
-                (ranks[m].stats.messages_sent for m in members), np.int64, count=p
-            )
-            self.sent_b = np.fromiter(
-                (ranks[m].stats.bytes_sent for m in members), np.float64, count=p
-            )
-            self.recv_n = np.fromiter(
-                (ranks[m].stats.messages_received for m in members), np.int64, count=p
-            )
-            self.recv_b = np.fromiter(
-                (ranks[m].stats.bytes_received for m in members), np.float64, count=p
-            )
-            self.idx = None
+            # Numpy storage: scalar helpers index element-wise
+            # (identical IEEE arithmetic to plain floats), vector
+            # helpers price a whole permutation round in a handful of
+            # array ops.
+            self.clock = np.array(clocks, dtype=np.float64)
+            if run._columnar:
+                # Columnar gather: one fancy-index copy per stats column
+                # out of the run's MachineState (the live values the
+                # per-rank reads below would see, bit for bit).
+                idx = np.fromiter(members, np.intp, count=p)
+                ms = run.ms
+                self.comm_t = ms.comm_time[idx]
+                self.sent_n = ms.messages_sent[idx]
+                self.sent_b = ms.bytes_sent[idx]
+                self.recv_n = ms.messages_received[idx]
+                self.recv_b = ms.bytes_received[idx]
+                self.idx = idx
+            else:
+                ranks = run.ranks
+                self.comm_t = np.fromiter(
+                    (ranks[m].stats.comm_time for m in members), np.float64, count=p
+                )
+                self.sent_n = np.fromiter(
+                    (ranks[m].stats.messages_sent for m in members), np.int64, count=p
+                )
+                self.sent_b = np.fromiter(
+                    (ranks[m].stats.bytes_sent for m in members), np.float64, count=p
+                )
+                self.recv_n = np.fromiter(
+                    (ranks[m].stats.messages_received for m in members), np.int64, count=p
+                )
+                self.recv_b = np.fromiter(
+                    (ranks[m].stats.bytes_received for m in members), np.float64, count=p
+                )
         self.eager_max = run._eager_max
-        ab = run.delivery  # guaranteed AlphaBetaDelivery by the engine
-        self.ab = ab
+        self.ab = run.delivery  # guaranteed AlphaBetaDelivery by the engine
         self.n = run._n
         self.overlay: dict = {}
-        last = run._last_arrival
-        self.last = last
-        # Upper bound on every arrival recorded in ``last`` + overlay:
-        # lets send_round prove "no FIFO clamp can fire this round" in
-        # O(1) and skip the per-pair dict probes entirely.
-        self.fifo_cap = max(last.values()) if last else float("-inf")
+        self.last = run._last_arrival
+        # Upper bound on every arrival recorded in ``last`` + overlay,
+        # built by the first vectorised round that needs it (an
+        # O(table) scan the scalar primitives never do).
+        self.fifo_cap: Optional[float] = None
         self.oh_memo = run._overhead
-        self.members_arr = np.asarray(members, dtype=np.int64)
-        self.nodes = np.asarray(ab.rank_map, dtype=np.int64)[self.members_arr]
-        machine = ab.machine
-        link = machine.link
-        self.topo = machine.topology
-        self.latency = link.latency_s
-        self.per_hop = link.per_hop_s
-        self.bw = ab._bw
+        self._members_arr: Any = None
+        self._nodes: Any = None
 
     # -- message primitives -------------------------------------------------
 
@@ -187,7 +225,8 @@ class _Sched:
         # table, so no numpy scalar may be stored here.
         arrival = float(arrival)
         overlay[key] = arrival
-        if arrival > self.fifo_cap:
+        cap = self.fifo_cap
+        if cap is not None and arrival > cap:
             self.fifo_cap = arrival
         oh = self.oh_memo.get(key)
         if oh is None:
@@ -221,20 +260,28 @@ class _Sched:
         clock[gd] = completion
         return completion
 
-    # -- vectorised round primitives ----------------------------------------
+    # -- round primitives -----------------------------------------------------
 
     def send_round(self, srcs, dsts, nbytes) -> "np.ndarray":
-        """Vectorised :meth:`send` for one permutation round.
+        """:meth:`send` for every pair of one permutation round.
 
         Every listed source issues one send; (src, dst) pairs are
         distinct, no pair is a self-send, and each destination's
         matching receive is posted at its current clock (the acyclic /
         round-phased precondition of :meth:`send`).  ``nbytes`` is a
-        scalar or per-pair array.  Element for element the float
-        expressions match :meth:`send` exactly; callers inside cyclic
-        schedules must reject rendezvous sizes *before* calling (see
-        :meth:`send`'s eager-only counterpart).
+        scalar or per-pair array.  Callers inside cyclic schedules must
+        reject rendezvous sizes *before* calling (see :meth:`send`'s
+        eager-only counterpart).  Returns the arrivals as an array
+        parallel to ``srcs``.
+
+        A narrow schedule loops the scalar primitive; otherwise the
+        round is priced in numpy, element for element the same float
+        expressions as :meth:`send`.
         """
+        if self.narrow:
+            sizes = nbytes.tolist() if isinstance(nbytes, np.ndarray) else repeat(nbytes)
+            out = list(map(self.send, srcs.tolist(), dsts.tolist(), sizes))
+            return np.array(out, dtype=np.float64)
         clock = self.clock
         now = clock[srcs]
         rdv = nbytes > self.eager_max
@@ -243,13 +290,33 @@ class _Sched:
             starts = np.where(rdv, np.maximum(clock[dsts], now), now)
         else:
             starts = now
-        hops = self.topo.hops_array(self.nodes[srcs], self.nodes[dsts])
-        fixed = np.where(hops == 0, 0.0, self.latency + hops * self.per_hop)
-        arrivals = starts + (fixed + nbytes / self.bw)
+        members_arr = self._members_arr
+        if members_arr is None:
+            members_arr = self._members_arr = np.asarray(self.members, dtype=np.int64)
+            run = self.run
+            nodes = run._rank_nodes
+            if nodes is None:
+                # rank -> node map as an array, once per run.
+                nodes = run._rank_nodes = np.asarray(self.ab.rank_map, dtype=np.int64)
+            self._nodes = nodes[members_arr]
+        nodes = self._nodes
+        machine = self.ab.machine
+        link = machine.link
+        hops = machine.topology.hops_array(nodes[srcs], nodes[dsts])
+        fixed = np.where(hops == 0, 0.0, link.latency_s + hops * link.per_hop_s)
+        arrivals = starts + (fixed + nbytes / self.ab._bw)
         # Per-pair FIFO clamp against the run's live table + overlay.
-        keys = (self.members_arr[srcs] * self.n + self.members_arr[dsts]).tolist()
+        keys = (members_arr[srcs] * self.n + members_arr[dsts]).tolist()
         overlay = self.overlay
         cap = self.fifo_cap
+        if cap is None:
+            # Upper bound on every arrival recorded so far: lets a round
+            # prove "no FIFO clamp can fire" in O(1) and skip the
+            # per-pair dict probes entirely.
+            cap = max(
+                max(self.last.values(), default=float("-inf")),
+                max(overlay.values(), default=float("-inf")),
+            )
         if cap > float(arrivals.min()):
             # Some recorded arrival could exceed one of this round's:
             # probe both tables through C-level ``map(dict.get, ...)``
@@ -282,11 +349,10 @@ class _Sched:
         # into the run table).
         overlay.update(zip(keys, arrivals.tolist()))
         new_max = float(arrivals.max())
-        if new_max > cap:
-            self.fifo_cap = new_max
+        self.fifo_cap = new_max if new_max > cap else cap
         # src != dst throughout, so the sender overhead is the constant
         # the memo would hold for every pair.
-        oh = self.latency
+        oh = link.latency_s
         clock[srcs] = starts + oh
         # (starts - now) is exactly 0.0 for eager sends, so one fused
         # expression reproduces both protocols' comm_time charges.
@@ -296,7 +362,12 @@ class _Sched:
         return arrivals
 
     def recv_round(self, dsts, arrivals, nbytes) -> None:
-        """Vectorised :meth:`recv` over distinct destinations."""
+        """:meth:`recv` over distinct destinations."""
+        if self.narrow:
+            sizes = nbytes.tolist() if isinstance(nbytes, np.ndarray) else repeat(nbytes)
+            for args in zip(dsts.tolist(), arrivals.tolist(), sizes):
+                self.recv(*args)
+            return
         clock = self.clock
         blocked = clock[dsts]
         completion = np.maximum(arrivals, blocked)
@@ -306,6 +377,28 @@ class _Sched:
         clock[dsts] = completion
 
     def commit(self) -> None:
+        run = self.run
+        if self.narrow:
+            # Python numbers throughout: store them member by member
+            # through the run's memoryviews.
+            clk = run._clk
+            comm_t = run._comm_t
+            sent_n = run._sent_n
+            sent_b = run._sent_b
+            recv_n = run._recv_n
+            recv_b = run._recv_b
+            for m, c, ct, sn, sb, rn, rb in zip(
+                self.members, self.clock, self.comm_t, self.sent_n,
+                self.sent_b, self.recv_n, self.recv_b,
+            ):
+                clk[m] = c
+                comm_t[m] = ct
+                sent_n[m] = sn
+                sent_b[m] = sb
+                recv_n[m] = rn
+                recv_b[m] = rb
+            self.last.update(self.overlay)
+            return
         # The caller's resume times must be plain Python floats (no
         # numpy scalars in the event loop's heap tuples); the committed
         # columns hold the same float64 bits either way.
@@ -313,7 +406,7 @@ class _Sched:
         if self.idx is not None:
             # Columnar commit: one fancy-index assignment per column
             # writes the whole group back to the MachineState.
-            ms = self.run.ms
+            ms = run.ms
             idx = self.idx
             ms.clock[idx] = self.clock
             ms.comm_time[idx] = self.comm_t
@@ -322,7 +415,7 @@ class _Sched:
             ms.messages_received[idx] = self.recv_n
             ms.bytes_received[idx] = self.recv_b
         else:
-            ranks = self.run.ranks
+            ranks = run.ranks
             comm_t = self.comm_t.tolist()
             sent_n = self.sent_n.tolist()
             sent_b = self.sent_b.tolist()
@@ -400,6 +493,27 @@ def _eval_bcast_tree(
     virtual-rank order (each child's entry clock is untouched until its
     first-op recv runs, each parent's sends happen in mask order)."""
     p = s.p
+    if s.narrow:
+        # Pair by pair, parent before child: within a round the parents
+        # and children are disjoint, so this is the round-phased order.
+        # Delivery copies preserve wire size, so the root payload sizes
+        # every message.
+        send = s.send
+        recv = s.recv
+        nbytes = payload_nbytes(value)
+        gr_of = [*range(root, p), *range(root)]  # virtual rank -> group rank
+        vals = [None] * p  # delivered payloads, by virtual rank
+        vals[0] = value
+        mask = 1
+        while mask < p:
+            for vp in range(min(mask, p - mask)):
+                vc = vp + mask
+                gc = gr_of[vc]
+                recv(gc, send(gr_of[vp], gc, nbytes), nbytes)
+                vals[vc] = copy_payload(vals[vp])
+            mask <<= 1
+        out = vals[p - root:] + vals[:p - root]  # by group rank
+        return out[:1] if ghost else out
     gr_of = np.arange(p, dtype=np.intp) + root  # virtual rank -> group rank
     gr_of[gr_of >= p] -= p
     if ghost:
@@ -510,6 +624,26 @@ def _eval_reduce(s: _Sched, root: int, reqs: Sequence[CollectiveReq]) -> List[An
         if vr < 0:
             vr += p
         accs[vr] = reqs[g].value
+    if s.narrow:
+        # Pair by pair in increasing receiver order: a round's senders
+        # are never its receivers, so this is the round-phased order.
+        send = s.send
+        recv = s.recv
+        gr_of = [*range(root, p), *range(root)]  # virtual rank -> group rank
+        mask = 1
+        while mask < p:
+            step = mask << 1
+            for v in range(0, p - mask, step):
+                pt = v + mask
+                g = gr_of[v]
+                payload = accs[pt]
+                nbytes = payload_nbytes(payload)
+                recv(g, send(gr_of[pt], g, nbytes), nbytes)
+                accs[v] = reqs[g].op(accs[v], copy_payload(payload))
+            mask = step
+        out: List[Any] = [None] * p
+        out[root] = accs[0]
+        return out
     gr_of = np.arange(p, dtype=np.intp) + root  # virtual rank -> group rank
     gr_of[gr_of >= p] -= p
     mask = 1
@@ -664,7 +798,7 @@ def evaluate(
     """
     req0 = reqs[0]
     kind = req0.kind
-    s = _Sched(run, members, clocks)
+    s = _Sched(run, members, clocks, _narrow(kind, req0.algorithm, len(members)))
     try:
         if kind == "barrier":
             out = _eval_barrier(s, ghost)

@@ -18,14 +18,22 @@ inside cyclic patterns must reproduce identically.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.machine.presets import intel_paragon, touchstone_delta
 from repro.simmpi import Engine
+from repro.simmpi.macro import NARROW_ROUND_PAIRS, _narrow
 from repro.util.errors import DeadlockError
 
 EAGER = float("inf")
 RENDEZVOUS = 0.0
+
+# Largest groups still priced message by message: dissemination rounds
+# pair every member; binomial trees average (p - 1) / ceil(log2 p) pairs
+# per round, so they stay narrow to a much larger p.
+DENSE_CROSSOVER = NARROW_ROUND_PAIRS
+TREE_CROSSOVER = max(p for p in range(2, 1024) if _narrow("bcast", "tree", p))
 
 
 def _acyclic_program(comm):
@@ -39,9 +47,12 @@ def _acyclic_program(comm):
     yield from comm.barrier()
     v = yield from comm.bcast((comm.rank, "payload"), root=1)
     total = yield from comm.reduce(float(comm.rank), op="sum", root=0)
+    vec = yield from comm.reduce(
+        np.full(5, float(comm.rank)), op="sum", root=comm.size - 1
+    )
     yield from comm.compute(seconds=2e-5 * ((comm.rank * 3) % 5))
     s = yield from comm.allreduce(comm.rank + 1, op="max", algorithm="reduce_bcast")
-    return (v, total, s)
+    return (v, total, vec, s)
 
 
 def _cyclic_program(comm):
@@ -60,7 +71,14 @@ def _bcast_program_factory(algorithm):
         yield from comm.compute(seconds=3e-5 * (comm.rank % 6))
         a = yield from comm.bcast([comm.rank], root=0, algorithm=algorithm)
         b = yield from comm.bcast("x" * 200, root=comm.size - 1, algorithm=algorithm)
-        return (a, b)
+        c = yield from comm.bcast(
+            np.arange(comm.rank, comm.rank + 6.0), root=comm.size // 2,
+            algorithm=algorithm,
+        )
+        # Every member owns its delivered copy: an in-place update must
+        # not show through on any other rank.
+        c += comm.rank
+        return (a, b, c)
 
     return program
 
@@ -82,12 +100,25 @@ def _assert_identical(macro, ref):
     assert macro.time == ref.time
     assert macro.stats == ref.stats
     assert repr(macro.returns) == repr(ref.returns)
-    assert macro.returns == ref.returns
+    assert _plain(macro.returns) == _plain(ref.returns)
+
+
+def _plain(value):
+    """Returns with ndarrays as (dtype, shape, bytes), so == compares them."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 @pytest.mark.parametrize(
     "p,eager",
-    list(itertools.product([5, 32, 48], [EAGER, RENDEZVOUS])),
+    list(itertools.product(
+        [5, DENSE_CROSSOVER - 1, DENSE_CROSSOVER, DENSE_CROSSOVER + 1, 48,
+         TREE_CROSSOVER - 1, TREE_CROSSOVER, TREE_CROSSOVER + 1],
+        [EAGER, RENDEZVOUS],
+    )),
 )
 def test_acyclic_collectives_bit_identical(p, eager):
     ref = _run(_acyclic_program, p, False, eager=eager)
@@ -96,12 +127,19 @@ def test_acyclic_collectives_bit_identical(p, eager):
     assert macro.events < ref.events  # the macro path actually engaged
 
 
-@pytest.mark.parametrize("algorithm", ["tree", "ring", "flat"])
+@pytest.mark.parametrize(
+    "algorithm,p",
+    [pytest.param(alg, 33, id=alg) for alg in ("tree", "ring", "flat")]
+    + [
+        pytest.param("tree", p, id=f"tree-{p}")
+        for p in (TREE_CROSSOVER - 1, TREE_CROSSOVER, TREE_CROSSOVER + 1)
+    ],
+)
 @pytest.mark.parametrize("eager", [EAGER, RENDEZVOUS])
-def test_bcast_algorithms_bit_identical(algorithm, eager):
+def test_bcast_algorithms_bit_identical(algorithm, p, eager):
     program = _bcast_program_factory(algorithm)
-    ref = _run(program, 33, False, eager=eager)
-    macro = _run(program, 33, True, eager=eager)
+    ref = _run(program, p, False, eager=eager)
+    macro = _run(program, p, True, eager=eager)
     _assert_identical(macro, ref)
     assert macro.events < ref.events
 
@@ -275,16 +313,14 @@ def test_tree_nb_bcast_bails_to_event_path_under_rendezvous():
 # lu2d's panel broadcasts ride the macro dispatcher
 # ---------------------------------------------------------------------------
 
-def _lu2d_pair(*, overlap, eager=EAGER):
-    import numpy as np
-
+def _lu2d_pair(*, overlap, eager=EAGER, side=4, n=24):
     from repro.linalg.decomp import ProcessGrid2D
     from repro.linalg.lu2d import lu2d
 
-    machine = touchstone_delta().subset(16)
+    machine = touchstone_delta().subset(side * side)
     rng = np.random.default_rng(11)
-    a = rng.standard_normal((24, 24)) + 24.0 * np.eye(24)
-    grid = ProcessGrid2D(4, 4)
+    a = rng.standard_normal((n, n)) + n * np.eye(n)
+    grid = ProcessGrid2D(side, side)
     kw = dict(nb=2, seed=7, overlap=overlap, eager_threshold_bytes=eager)
     ref = lu2d(machine, grid, a, macro_ops=False, **kw)
     macro = lu2d(machine, grid, a, **kw)
@@ -296,12 +332,25 @@ def test_lu2d_panel_broadcasts_collapse_to_macro_events(overlap):
     ref, macro = _lu2d_pair(overlap=overlap)
     assert macro.sim.time == ref.sim.time
     assert macro.sim.stats == ref.sim.stats
-    import numpy as np
-
     assert np.array_equal(macro.lu, ref.lu)
     # The pivot/panel broadcasts went through the dispatcher and parked
     # as single collective events: fewer engine events, no fallbacks.
     assert macro.sim.events < ref.sim.events
+    assert macro.sim.macro_fallbacks == 0
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_lu2d_8x8_grid_bit_identical(overlap):
+    """The sweep-lu2d grid shape: 8-member row and column groups."""
+    ref, macro = _lu2d_pair(overlap=overlap, side=8, n=64)
+    assert macro.sim.time == ref.sim.time
+    assert macro.sim.stats == ref.sim.stats
+    assert np.array_equal(macro.lu, ref.lu)
+    assert macro.sim.total_messages == ref.sim.total_messages
+    # One parked event per member per broadcast, whatever the pricing
+    # route: the count the macro path has always produced here.
+    assert macro.sim.events == 12488
+    assert ref.sim.events == (25970 if overlap else 18914)
     assert macro.sim.macro_fallbacks == 0
 
 
@@ -311,7 +360,5 @@ def test_lu2d_macro_survives_rendezvous_bail():
     # them, still bit-identical.
     ref, macro = _lu2d_pair(overlap=True, eager=16.0)
     assert macro.sim.time == ref.sim.time
-    import numpy as np
-
     assert np.array_equal(macro.lu, ref.lu)
     assert macro.sim.macro_fallbacks > 0

@@ -203,6 +203,28 @@ class TestExchangeEquivalence:
         assert ref.returns[0][0] is None  # rank 0 has no up neighbor
         assert ref.returns[4][1] is None  # last rank has no down neighbor
 
+    @pytest.mark.parametrize("prows,pcols", [(4, 8), (3, 11)])
+    def test_open_grid_either_side_of_round_crossover(self, prows, pcols):
+        """Open-boundary grids of up to 32 ranks are priced message by
+        message, larger ones in numpy; edge ranks skip their missing
+        peers on both routes, bit-identically to the event path."""
+
+        def program(comm):
+            spec = grid_halo(prows, pcols, wrap=False)
+            r = float(comm.rank)
+            out = yield from comm.exchange(
+                spec, [np.full(2, r + k) for k in range(len(spec.offsets))]
+            )
+            return out
+
+        p = prows * pcols
+        ref = Engine(touchstone_delta(), p, macro_ops=False).run(program)
+        mac = Engine(touchstone_delta(), p, macro_ops=True).run(program)
+        _assert_sim_identical(mac, ref)
+        _assert_payload_rows_equal(mac.returns, ref.returns)
+        assert mac.macro_fallbacks == 0
+        assert mac.events < ref.events
+
     def test_irregular_payloads_fall_back(self):
         """Rank-dependent payload sizes break the uniform-round
         assumption: the evaluator bails, the event path replays, and
