@@ -869,37 +869,24 @@ class _Run:
         result = _macro_evaluate(self, members, reqs, clocks) if sound else None
         schedule = self.schedule
         blk = self._blk
+        # The per-member loop rewires object state and resume events
+        # anyway, so the unblock rides along in it.
         if result is None:
             self._fallbacks += 1
             clk = self._clk
-            if self._columnar:
-                # Vectorized whole-group unblock (on the ndarray; the
-                # memoryview sees it); the loop below only rewires
-                # per-rank object state and resume events.
-                self.ms.blocked[np.fromiter(members, np.intp, count=len(members))] = False
-                for m in members:
-                    ranks[m].collective = None
-                    schedule(clk[m], m, MACRO_FALLBACK)
-            else:
-                for m in members:
-                    blk[m] = False
-                    ranks[m].collective = None
-                    schedule(clk[m], m, MACRO_FALLBACK)
+            for m in members:
+                blk[m] = False
+                ranks[m].collective = None
+                schedule(clk[m], m, MACRO_FALLBACK)
             return
         finishes, values = result
         # evaluate() already committed clocks and stats; the resume
         # events land exactly at each member's new clock, so no idle
         # time is attributed.
-        if self._columnar:
-            self.ms.blocked[np.fromiter(members, np.intp, count=len(members))] = False
-            for i, m in enumerate(members):
-                ranks[m].collective = None
-                schedule(finishes[i], m, values[i])
-        else:
-            for i, m in enumerate(members):
-                blk[m] = False
-                ranks[m].collective = None
-                schedule(finishes[i], m, values[i])
+        for m, finish, value in zip(members, finishes, values):
+            blk[m] = False
+            ranks[m].collective = None
+            schedule(finish, m, value)
 
     def _protocol_for(self, nbytes: float) -> Protocol:
         if nbytes > self.engine.eager_threshold_bytes:
